@@ -71,7 +71,7 @@ fn main() {
     println!("\nthread sweep (N = 4000, M = 16384, K = 4; host has {cores} cores —");
     println!("on a single-core host the sweep measures threading overhead only):");
     let data = normal_single(4000, 16384, 4, 45);
-    let (serial, _) = time_median(3, || associate(&data).unwrap()); // multi-pass serial kernel
+    let (serial, _) = time_median(3, || associate(&data).unwrap()); // same kernel, no threads
     let mut t = Table::new(&["threads", "median", "speedup vs serial scan"]);
     for c in [1usize, 2, 4, 8, 16] {
         let (timed, _) = time_median(3, || associate_parallel(&data, c).unwrap());

@@ -8,7 +8,7 @@
 
 use crate::error::CoreError;
 use crate::model::{PartyData, ScanResult};
-use crate::suffstats::{column_dots, orthonormal_basis, ScanStats};
+use crate::suffstats::{orthonormal_basis, ScanStats, VariantSummands};
 use dash_linalg::{dot, gemv_t, self_dot, Matrix};
 use std::thread::ScopedJoinHandle;
 
@@ -23,31 +23,29 @@ struct BlockStats {
 
 /// Computes the per-variant statistics for columns `[lo, hi)`.
 ///
-/// Reads each column exactly once via the shared
-/// [`crate::suffstats::column_dots`] kernel (also the engine of the
-/// blocked secure scan), then reduces the `QᵀX` column against `Qᵀy` in
-/// place.
-fn scan_block(y: &[f64], x: &Matrix, q: &Matrix, qty: &[f64], lo: usize, hi: usize) -> BlockStats {
-    let k = q.cols();
-    let mut xy = Vec::with_capacity(hi - lo);
-    let mut xx = Vec::with_capacity(hi - lo);
-    let mut qtxqty = Vec::with_capacity(hi - lo);
-    let mut qtxqtx = Vec::with_capacity(hi - lo);
-    let mut qtx_col = vec![0.0; k];
-    for j in lo..hi {
-        let (xyv, xxv) = column_dots(y, q, x.col(j), &mut qtx_col);
-        xy.push(xyv);
-        xx.push(xxv);
-        qtxqty.push(dot(&qtx_col, qty));
-        qtxqtx.push(self_dot(&qtx_col));
-    }
-    BlockStats {
+/// The block's summands come from [`VariantSummands::local`] — the packed
+/// kernel of the serial and secure scans, so each column's dots are the
+/// serial path's bit for bit — then each `QᵀX` column is reduced against
+/// `Qᵀy` as [`crate::suffstats::SuffStats::reduce`] does.
+fn scan_block(
+    y: &[f64],
+    x: &Matrix,
+    q: &Matrix,
+    qty: &[f64],
+    lo: usize,
+    hi: usize,
+) -> Result<BlockStats, CoreError> {
+    let VariantSummands { xy, xx, qtx, .. } = VariantSummands::local(y, x, q, lo, hi)?;
+    let (qtxqty, qtxqtx) = (0..qtx.cols())
+        .map(|j| (dot(qtx.col(j), qty), self_dot(qtx.col(j))))
+        .unzip();
+    Ok(BlockStats {
         lo,
         xy,
         xx,
         qtxqty,
         qtxqtx,
-    }
+    })
 }
 
 /// Joins every worker handle, converting a panic into a structured
@@ -106,7 +104,9 @@ pub fn associate_parallel(data: &PartyData, n_threads: usize) -> Result<ScanResu
             lo = hi;
         }
         join_workers(handles)
-    })?;
+    })?
+    .into_iter()
+    .collect::<Result<_, _>>()?;
 
     // Step 4: assemble and finalize.
     let mut xy = vec![0.0; m];

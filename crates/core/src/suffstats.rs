@@ -27,7 +27,7 @@
 
 use crate::error::CoreError;
 use crate::model::ScanResult;
-use dash_linalg::{dot, gemm_at_b, gemv_t, qr_thin, self_dot, solve_lower, Matrix};
+use dash_linalg::{dot, gemm_at_b, gemv_t, qr_thin, self_dot, solve_lower, DotPanel, Matrix};
 use dash_stats::StudentT;
 
 /// Relative threshold below which the covariate-adjusted variant variance
@@ -79,37 +79,14 @@ impl SuffStats {
                 got: q.rows(),
             });
         }
-        let m = x.cols();
-        let yy = self_dot(y);
-        let qty = gemv_t(q, y)?;
-        let mut xy = Vec::with_capacity(m);
-        let mut xx = Vec::with_capacity(m);
-        let qtx = gemm_at_b(q, x)?;
-        for j in 0..m {
-            let col = x.col(j);
-            xy.push(dot(col, y));
-            xx.push(self_dot(col));
-        }
+        let VariantSummands { xy, xx, qtx, .. } = VariantSummands::local(y, x, q, 0, x.cols())?;
         Ok(SuffStats {
-            yy,
+            yy: self_dot(y),
             xy,
             xx,
-            qty,
+            qty: gemv_t(q, y)?,
             qtx,
         })
-    }
-
-    /// Like [`SuffStats::local`] but restricted to the half-open variant
-    /// range `[lo, hi)` — the unit of work of the parallel scan.
-    pub fn local_block(
-        y: &[f64],
-        x: &Matrix,
-        q: &Matrix,
-        lo: usize,
-        hi: usize,
-    ) -> Result<Self, CoreError> {
-        let block = x.col_block(lo, hi);
-        Self::local(y, &block, q)
     }
 
     /// Creates a zero accumulator with the given shape.
@@ -216,23 +193,6 @@ impl SuffStats {
     }
 }
 
-/// One pass over a variant column: `X_j·y`, `X_j·X_j`, and the K dots
-/// `Q_i·X_j` written into `qtx_col`.
-///
-/// This is the shared kernel of the parallel plaintext scan and the
-/// blocked secure scan. It performs the *same* `dot`/`self_dot` calls as
-/// [`SuffStats::local`] (whose `gemm_at_b` entry `(i, j)` is exactly
-/// `dot(q.col(i), x.col(j))`), so per-column results are bit-identical to
-/// the monolithic path.
-pub(crate) fn column_dots(y: &[f64], q: &Matrix, col: &[f64], qtx_col: &mut [f64]) -> (f64, f64) {
-    let xy = dot(col, y);
-    let xx = self_dot(col);
-    for (i, q_i) in qtx_col.iter_mut().enumerate() {
-        *q_i = dot(q.col(i), col);
-    }
-    (xy, xx)
-}
-
 /// The variant-side slice of [`SuffStats`] for columns `[lo, lo+len)`:
 /// everything except the block-independent `yy`/`qty`. This is the unit
 /// the blocked secure scan computes, ships, and aggregates — peak summand
@@ -262,7 +222,13 @@ impl VariantSummands {
 
     /// Computes one party's variant-side summands for columns `[lo, hi)`
     /// directly from its rows, without materializing the full M-wide
-    /// statistics. Bit-identical to slicing [`SuffStats::local`].
+    /// statistics.
+    ///
+    /// Packs `[y | Q]` into a [`DotPanel`] once, then makes one pass per
+    /// column per group of four packed vectors, producing `X_j·y`,
+    /// `X_j·X_j` and `QᵀX_j` bit-identical to `dot`/`self_dot`. Every
+    /// summand path of the scan runs on this: [`SuffStats::local`] is the
+    /// full range, and the parallel plaintext scan calls it per thread.
     pub fn local(
         y: &[f64],
         x: &Matrix,
@@ -293,13 +259,16 @@ impl VariantSummands {
         }
         let k = q.cols();
         let len = hi - lo;
+        let panel = DotPanel::new(y.len(), std::iter::once(y).chain((0..k).map(|i| q.col(i))))?;
         let mut xy = Vec::with_capacity(len);
         let mut xx = Vec::with_capacity(len);
         let mut qtx = Matrix::zeros(k, len);
+        let mut dots = vec![0.0; k + 1];
         for j in lo..hi {
-            let (xyv, xxv) = column_dots(y, q, x.col(j), qtx.col_mut(j - lo));
-            xy.push(xyv);
-            xx.push(xxv);
+            xx.push(panel.dots(x.col(j), &mut dots));
+            let (xy_j, qtx_j) = dots.split_at(1);
+            xy.extend_from_slice(xy_j);
+            qtx.col_mut(j - lo).copy_from_slice(qtx_j);
         }
         Ok(VariantSummands { lo, xy, xx, qtx })
     }
@@ -441,26 +410,17 @@ impl CtStats {
                 },
             });
         }
-        let m = x.cols();
-        let yy = self_dot(y);
-        let cty = gemv_t(c, y)?;
-        let ctx = gemm_at_b(c, x)?;
-        let gram = gemm_at_b(c, c)?;
-        let mut xy = Vec::with_capacity(m);
-        let mut xx = Vec::with_capacity(m);
-        for j in 0..m {
-            let col = x.col(j);
-            xy.push(dot(col, y));
-            xx.push(self_dot(col));
-        }
+        // The same pass as the Q-compressed summands, with C packed in
+        // place of Q.
+        let VariantSummands { xy, xx, qtx, .. } = VariantSummands::local(y, x, c, 0, x.cols())?;
         Ok(CtStats {
             n: y.len(),
-            yy,
+            yy: self_dot(y),
             xy,
             xx,
-            cty,
-            ctx,
-            gram,
+            cty: gemv_t(c, y)?,
+            ctx: qtx,
+            gram: gemm_at_b(c, c)?,
         })
     }
 
@@ -626,15 +586,40 @@ mod tests {
     }
 
     #[test]
-    fn block_local_covers_all_columns() {
+    fn variant_blocks_add_to_row_split_summands() {
+        // Additivity holds block by block: two parties' summands for one
+        // variant block sum to the pooled summands of that block.
         let (y, x, c) = toy(15, 6, 1, 5);
         let q = orthonormal_basis(&c).unwrap();
-        let full = SuffStats::local(&y, &x, &q).unwrap();
-        let b1 = SuffStats::local_block(&y, &x, &q, 0, 2).unwrap();
-        let b2 = SuffStats::local_block(&y, &x, &q, 2, 6).unwrap();
-        assert_eq!(b1.n_variants(), 2);
-        assert!((b1.xy[1] - full.xy[1]).abs() < 1e-14);
-        assert!((b2.xy[0] - full.xy[2]).abs() < 1e-14);
+        let cut = 7;
+        for (lo, hi) in [(0, 2), (2, 6)] {
+            let pooled = VariantSummands::local(&y, &x, &q, lo, hi).unwrap();
+            let a = VariantSummands::local(
+                &y[..cut],
+                &x.row_block(0, cut),
+                &q.row_block(0, cut),
+                lo,
+                hi,
+            )
+            .unwrap();
+            let b = VariantSummands::local(
+                &y[cut..],
+                &x.row_block(cut, 15),
+                &q.row_block(cut, 15),
+                lo,
+                hi,
+            )
+            .unwrap();
+            assert_eq!(pooled.len(), hi - lo);
+            for j in 0..hi - lo {
+                assert!((a.xy[j] + b.xy[j] - pooled.xy[j]).abs() < 1e-12);
+                assert!((a.xx[j] + b.xx[j] - pooled.xx[j]).abs() < 1e-12);
+                let qtx_cols = a.qtx.col(j).iter().zip(b.qtx.col(j));
+                for ((u, v), p) in qtx_cols.zip(pooled.qtx.col(j)) {
+                    assert!((u + v - p).abs() < 1e-12);
+                }
+            }
+        }
     }
 
     #[test]

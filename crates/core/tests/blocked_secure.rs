@@ -223,7 +223,7 @@ proptest! {
     fn blocked_equals_monolithic_bitwise(
         sizes in proptest::collection::vec(6usize..25, 2..5),
         m in 1usize..11,
-        k in 0usize..4,
+        k in 0usize..10,
         block in 1usize..14,
         threads in 1usize..5,
         seed in 0u64..1000,

@@ -7,8 +7,9 @@
 //! - a column-major [`Matrix`] type whose columns are contiguous slices, so
 //!   that streaming over the M transient covariates `X_m` is cache-friendly
 //!   ([`matrix`]);
-//! - level-1/2/3 kernels: dots, axpy, `Aᵀv`, `Av`, and a blocked `AᵀB`
-//!   ([`ops`]);
+//! - level-1/2/3 kernels: dots, axpy, `Aᵀv`, `Av`, and `AᵀB` ([`ops`]);
+//! - the packed, register-blocked `Vᵀx` kernel ([`panel`]) behind `AᵀB`
+//!   and the scan's `[y | Q]ᵀX`, bit-identical to per-pair dots;
 //! - thin Householder QR with a deterministic positive-diagonal sign
 //!   convention ([`qr`]), the backbone of both the plaintext scan and the
 //!   per-party `R_k` factors of the secure protocol;
@@ -20,8 +21,8 @@
 //! - column centering utilities ([`center`]) implementing the paper's
 //!   intercept-as-centering observation.
 //!
-//! All fallible operations return [`LinalgError`]; nothing panics on bad
-//! shapes in release builds.
+//! All fallible operations return [`LinalgError`]. The slice kernels
+//! ([`dot`], [`DotPanel::dots`]) take lengths as a precondition instead.
 //!
 //! # Example: the multi-party QR identity
 //!
@@ -44,6 +45,7 @@ pub mod eigen;
 pub mod error;
 pub mod matrix;
 pub mod ops;
+pub mod panel;
 pub mod qr;
 pub mod tri;
 pub mod tsqr;
@@ -54,6 +56,7 @@ pub use eigen::{symmetric_eigen, SymmetricEigen};
 pub use error::LinalgError;
 pub use matrix::Matrix;
 pub use ops::{axpy, dot, frobenius_norm, gemm_at_b, gemv, gemv_t, self_dot};
+pub use panel::DotPanel;
 pub use qr::{qr_r_factor, qr_thin, ThinQr};
 pub use tri::{invert_upper, solve_lower, solve_upper};
 pub use tsqr::{combine_r_factors, tsqr_r};

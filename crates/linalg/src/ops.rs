@@ -1,12 +1,14 @@
 //! Level-1/2/3 kernels used by the scan.
 //!
-//! These are deliberately simple loops: with contiguous column slices the
-//! compiler auto-vectorizes them, and for the scan's shapes (K ≤ ~24,
-//! N up to 10⁶) the memory traffic of reading `X` dominates anyway — see
-//! Eq. (5) of the paper.
+//! [`dot`] fixes the summation order every product in the workspace
+//! reproduces. A single `dot` is bound by the latency of its four lane
+//! additions, not by reading memory, so the many-dots product [`gemm_at_b`]
+//! runs on the register-blocked [`DotPanel`] kernel, which keeps `dot`'s
+//! arithmetic bit for bit.
 
 use crate::error::LinalgError;
 use crate::matrix::Matrix;
+use crate::panel::DotPanel;
 
 /// Dot product of two equal-length slices.
 ///
@@ -86,9 +88,11 @@ pub fn gemv_t(a: &Matrix, v: &[f64]) -> Result<Vec<f64>, LinalgError> {
 
 /// `AᵀB` for column-major `A` (n×k) and `B` (n×m), producing k×m.
 ///
-/// Every entry is a dot of two contiguous columns; the loop order streams
-/// each column of `B` once against all columns of `A`, which for the scan's
-/// `QᵀX` (k small, m large) reads `X` exactly once.
+/// Entry `(i, j)` is bit-identical to `dot(a.col(i), b.col(j))`. The
+/// narrower operand is packed into a [`DotPanel`], so the copy is bounded
+/// by it, and each column of the other is read once per group of four
+/// packed columns; for the scan's `QᵀX` (k small, m large) that reads `X`
+/// once.
 pub fn gemm_at_b(a: &Matrix, b: &Matrix) -> Result<Matrix, LinalgError> {
     if a.rows() != b.rows() {
         return Err(LinalgError::DimensionMismatch {
@@ -100,11 +104,19 @@ pub fn gemm_at_b(a: &Matrix, b: &Matrix) -> Result<Matrix, LinalgError> {
     let k = a.cols();
     let m = b.cols();
     let mut out = Matrix::zeros(k, m);
-    for j in 0..m {
-        let bj = b.col(j);
-        let oj = out.col_mut(j);
-        for (i, oij) in oj.iter_mut().enumerate() {
-            *oij = dot(a.col(i), bj);
+    if k <= m {
+        let panel = DotPanel::new(a.rows(), (0..k).map(|i| a.col(i)))?;
+        for j in 0..m {
+            panel.dots(b.col(j), out.col_mut(j));
+        }
+    } else {
+        let panel = DotPanel::new(b.rows(), (0..m).map(|j| b.col(j)))?;
+        let mut row = vec![0.0; m];
+        for i in 0..k {
+            panel.dots(a.col(i), &mut row);
+            for (j, &v) in row.iter().enumerate() {
+                out.set(i, j, v);
+            }
         }
     }
     Ok(out)

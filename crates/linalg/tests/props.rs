@@ -1,8 +1,8 @@
 //! Property-based tests for the linear-algebra substrate.
 
 use dash_linalg::{
-    cholesky_upper, combine_r_factors, gemm_at_b, invert_upper, qr_r_factor, qr_thin, solve_upper,
-    tsqr_r, Matrix,
+    cholesky_upper, combine_r_factors, dot, gemm_at_b, invert_upper, qr_r_factor, qr_thin,
+    self_dot, solve_upper, tsqr_r, DotPanel, Matrix,
 };
 use proptest::prelude::*;
 
@@ -30,6 +30,39 @@ fn spd_matrix() -> impl Strategy<Value = Matrix> {
             g
         })
     })
+}
+
+/// Entries of mixed sign and magnitude: each vector draws around its own
+/// scale in 1e-150..1e150 (so a product spans 1e-300..1e300, with the
+/// occasional subnormal or infinity), and about one entry in eight is an
+/// exact zero of either sign.
+fn mixed_vectors(seed: u64, n: usize, count: usize) -> Vec<Vec<f64>> {
+    let mut s = seed;
+    let mut next = move || {
+        // splitmix64
+        s = s.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = s;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    };
+    (0..count)
+        .map(|_| {
+            let scale = (next() % 301) as i32 - 150;
+            (0..n)
+                .map(|_| {
+                    let r = next();
+                    let sign = if r & 1 == 0 { 1.0 } else { -1.0 };
+                    if (r >> 1) % 8 == 0 {
+                        return sign * 0.0;
+                    }
+                    let mantissa = 1.0 + ((r >> 11) % 9000) as f64 / 1000.0;
+                    let exp = scale + ((r >> 4) % 9) as i32 - 4;
+                    sign * mantissa * 10f64.powi(exp)
+                })
+                .collect()
+        })
+        .collect()
 }
 
 proptest! {
@@ -145,5 +178,45 @@ proptest! {
         let bot = a.row_block(cut, n);
         let back = Matrix::vstack(&[&top, &bot]).unwrap();
         prop_assert_eq!(back, a);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// The packed kernel reproduces per-pair `dot`/`self_dot` to the bit
+    /// for every row count mod 4 (including fewer than 4 rows) and every
+    /// packed width across the 4-vector register groups and their zero
+    /// padding; `gemm_at_b` does too, whichever operand it packs.
+    #[test]
+    fn packed_dots_bit_identical_to_dot(seed in any::<u64>()) {
+        for n in 0..=67usize {
+            for width in 1..=13usize {
+                let vs = mixed_vectors(seed ^ (n * 16 + width) as u64, n, width + 1);
+                let (col, packed) = vs.split_last().unwrap();
+                let panel = DotPanel::new(n, packed.iter().map(Vec::as_slice)).unwrap();
+                let mut out = vec![f64::NAN; width];
+                let sq = panel.dots(col, &mut out);
+                prop_assert_eq!(sq.to_bits(), self_dot(col).to_bits(), "n={} width={}", n, width);
+                for (i, v) in packed.iter().enumerate() {
+                    prop_assert_eq!(out[i].to_bits(), dot(v, col).to_bits(),
+                        "n={} width={} i={}", n, width, i);
+                }
+
+                let a = Matrix::from_cols(&packed.iter().map(Vec::as_slice).collect::<Vec<_>>()).unwrap();
+                let b_cols = 1 + (n + width) % 7;
+                let b_vecs = mixed_vectors(!seed ^ n as u64, n, b_cols);
+                let b = Matrix::from_cols(&b_vecs.iter().map(Vec::as_slice).collect::<Vec<_>>()).unwrap();
+                for (lhs, rhs) in [(&a, &b), (&b, &a)] {
+                    let g = gemm_at_b(lhs, rhs).unwrap();
+                    for i in 0..lhs.cols() {
+                        for j in 0..rhs.cols() {
+                            prop_assert_eq!(g.get(i, j).to_bits(), dot(lhs.col(i), rhs.col(j)).to_bits(),
+                                "gemm_at_b n={} ({}, {})", n, i, j);
+                        }
+                    }
+                }
+            }
+        }
     }
 }
