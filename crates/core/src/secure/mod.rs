@@ -25,6 +25,20 @@
 //!
 //! Every opening is recorded in the disclosure log; the E6 experiment
 //! prints the resulting leakage/cost ladder.
+//!
+//! **Entry points.** Six public functions run the scan over two run
+//! bodies, and both bodies drive the one per-party protocol:
+//! - whole runs, every party on a thread of this process:
+//!   [`secure_scan`], [`secure_scan_traced`] (in-process mesh) and
+//!   [`secure_scan_tcp_local`] (loopback TCP) share one launcher that
+//!   differs only in how each party gets its transport;
+//! - one party per process: [`secure_scan_party_with`] and
+//!   [`secure_scan_party_checkpointed`] share one per-party body, the
+//!   second with a checkpoint policy.
+//!
+//! [`secure_scan_with`] is [`secure_scan`] under a second name. It and
+//! the two per-party names are kept because the `scanbench` benchmark
+//! calls them.
 
 pub mod aggregate;
 pub mod checkpoint;
@@ -36,7 +50,7 @@ use crate::error::CoreError;
 use crate::model::{PartyData, ScanResult};
 use dash_mpc::audit::{Disclosure, DisclosureLog};
 use dash_mpc::dealer::{PartyTriples, TrustedDealer};
-use dash_mpc::net::{CostModel, NetOptions, Network, NetworkStats};
+use dash_mpc::net::{CostModel, Network, NetworkStats};
 use dash_mpc::party::PartyCtx;
 use dash_mpc::tcp::{TcpConfig, TcpTransport};
 use dash_mpc::transport::{
@@ -44,7 +58,6 @@ use dash_mpc::transport::{
 };
 use dash_mpc::FixedPointCodec;
 pub use dash_obs::{Counter as TraceCounter, SpanRecord, TraceHandle};
-use parking_lot::Mutex;
 use std::net::TcpListener;
 use std::sync::Arc;
 use std::time::Duration;
@@ -166,19 +179,15 @@ impl SecureScanConfig {
         Ok(FixedPointCodec::new(self.field_frac_bits)?)
     }
 
-    /// The network runner options this configuration implies (tracing
-    /// disabled; [`secure_scan_traced_with`] injects an enabled handle).
-    pub fn net_options(&self) -> NetOptions {
-        NetOptions {
-            transport: TransportConfig {
-                deadline: Duration::from_millis(self.deadline_ms),
-                retry: RetryPolicy {
-                    max_retries: self.max_retries,
-                    backoff: Duration::from_millis(self.retry_backoff_ms),
-                },
+    /// The receive deadline and send retry policy every party runs
+    /// under.
+    pub(crate) fn transport_config(&self) -> TransportConfig {
+        TransportConfig {
+            deadline: Duration::from_millis(self.deadline_ms),
+            retry: RetryPolicy {
+                max_retries: self.max_retries,
+                backoff: Duration::from_millis(self.retry_backoff_ms),
             },
-            faults: self.faults,
-            trace: TraceHandle::disabled(),
         }
     }
 }
@@ -242,7 +251,7 @@ pub struct SecureScanOutput {
 /// `Q_k` rows. [`PartyData`] provides the dense implementation;
 /// alternative storage — sparse genotypes, memory-mapped files, on-the-fly
 /// dosage decoding — implements this trait and plugs into
-/// [`secure_scan_with`] unchanged.
+/// [`secure_scan`] unchanged.
 pub trait SummandSource: Sync {
     /// Number of samples this party holds.
     fn n_samples(&self) -> usize;
@@ -339,19 +348,25 @@ fn validate_sources<S: SummandSource>(parties: &[S]) -> Result<(usize, usize, us
                 got: p.covariates().cols(),
             });
         }
-        if p.covariates().rows() != p.n_samples() {
-            return Err(CoreError::ShapeMismatch {
-                what: "covariate rows vs samples",
-                expected: p.n_samples(),
-                got: p.covariates().rows(),
-            });
-        }
+        check_covariate_rows(p)?;
         n += p.n_samples();
     }
     if n <= k + 1 {
         return Err(CoreError::NotEnoughSamples { n, k });
     }
     Ok((n, m, k))
+}
+
+/// Checks that a party holds one covariate row per sample.
+fn check_covariate_rows<S: SummandSource>(data: &S) -> Result<(), CoreError> {
+    if data.covariates().rows() != data.n_samples() {
+        return Err(CoreError::ShapeMismatch {
+            what: "covariate rows vs samples",
+            expected: data.n_samples(),
+            got: data.covariates().rows(),
+        });
+    }
+    Ok(())
 }
 
 /// Validates the run-shape knobs of a configuration against the variant
@@ -382,126 +397,150 @@ fn validate_config(cfg: &SecureScanConfig, m: usize) -> Result<(), CoreError> {
 /// Runs the full secure multi-party association scan over an in-process
 /// party network.
 ///
-/// Each element of `parties` is one party's private rows; the function
-/// spawns one thread per party, runs the configured protocol, and checks
-/// that all parties derived identical results (they must — every final
+/// Each element of `parties` is one party's private rows, in any
+/// [`SummandSource`] storage; the function spawns one thread per party
+/// and runs the configured protocol. Debug builds also check that every
+/// party derived a bit-identical result (they must — every final
 /// statistic is computed from identically opened values).
-pub fn secure_scan(
-    parties: &[PartyData],
-    cfg: &SecureScanConfig,
-) -> Result<SecureScanOutput, CoreError> {
-    secure_scan_with(parties, cfg)
-}
-
-/// Like [`secure_scan`] but records spans and per-party counters into
-/// `trace` (pass [`TraceHandle::enabled`] with the party count; a
-/// disabled handle makes this identical to [`secure_scan`]).
-pub fn secure_scan_traced(
-    parties: &[PartyData],
-    cfg: &SecureScanConfig,
-    trace: TraceHandle,
-) -> Result<SecureScanOutput, CoreError> {
-    secure_scan_traced_with(parties, cfg, trace)
-}
-
-/// Generic variant of [`secure_scan`] over any [`SummandSource`] storage.
-pub fn secure_scan_with<S: SummandSource>(
+pub fn secure_scan<S: SummandSource>(
     parties: &[S],
     cfg: &SecureScanConfig,
 ) -> Result<SecureScanOutput, CoreError> {
-    secure_scan_traced_with(parties, cfg, TraceHandle::disabled())
+    secure_scan_traced(parties, cfg, TraceHandle::disabled())
 }
 
-/// Generic traced variant: the run's transport counters mirror into
+/// [`secure_scan`] under the name the `scanbench` benchmark calls.
+pub use self::secure_scan as secure_scan_with;
+
+/// Like [`secure_scan`] but the run's transport counters mirror into
 /// `trace` and every party records hierarchical spans
-/// (`scan → phase → block → secure round`) plus protocol counters.
-pub fn secure_scan_traced_with<S: SummandSource>(
+/// (`scan → phase → block → secure round`) plus protocol counters (pass
+/// [`TraceHandle::enabled`] with the party count; a disabled handle makes
+/// this identical to [`secure_scan`]).
+pub fn secure_scan_traced<S: SummandSource>(
     parties: &[S],
     cfg: &SecureScanConfig,
     trace: TraceHandle,
 ) -> Result<SecureScanOutput, CoreError> {
-    let (_n, m, k) = validate_sources(parties)?;
-    let p = parties.len();
-    // Validate eagerly so configuration errors surface before any thread
-    // spawns.
-    validate_config(cfg, m)?;
+    let triples = prepare_run(parties, cfg)?;
+    let (endpoints, stats) = Network::endpoints_traced(parties.len(), trace)?;
+    run_local(parties, cfg, triples, &stats, endpoints, |_, ep| Ok(ep))
+}
 
-    // Offline phase: deal Beaver material when the strict mode needs it.
-    let triple_slots: Vec<Mutex<Option<PartyTriples>>> =
-        if cfg.aggregation == AggregationMode::BeaverDots && k > 0 {
-            let mut dealer = TrustedDealer::new(p, cfg.seed)?;
-            dealer
-                .deal_inners(k, 2 * m + 1)
-                .into_iter()
-                .map(|b| Mutex::new(Some(b)))
-                .collect()
-        } else {
-            (0..p).map(|_| Mutex::new(None)).collect()
-        };
-
-    let opts = NetOptions {
-        trace,
-        ..cfg.net_options()
+/// Runs the secure scan over **real loopback TCP sockets**, one
+/// [`TcpTransport`] per party thread — the full socket path (framing,
+/// handshake, reader threads) under one roof so tests can assert
+/// bit-identical results and accounting against [`secure_scan`].
+///
+/// Unlike separate `dash party` processes, all parties share one
+/// [`NetworkStats`] and one [`DisclosureLog`] here, exactly like the
+/// in-process runner — so `network` and `disclosures` of the output are
+/// directly comparable (equal, for a deterministic protocol) to the
+/// mpsc run's.
+pub fn secure_scan_tcp_local<S: SummandSource>(
+    parties: &[S],
+    cfg: &SecureScanConfig,
+) -> Result<SecureScanOutput, CoreError> {
+    let triples = prepare_run(parties, cfg)?;
+    // Rendezvous: bind every party's listener up front (port 0 → the OS
+    // assigns), so each party knows the full address list.
+    let bind_err = |peer, e| {
+        CoreError::Mpc(dash_mpc::MpcError::Handshake {
+            peer,
+            reason: format!("loopback listener: {e}"),
+        })
     };
-    let (results, stats, audit) = Network::run_parties_detailed_with(p, cfg.seed, &opts, |ctx| {
-        // ctx.id() < p by construction; the lookups are total anyway.
-        let data = parties
-            .get(ctx.id())
-            .ok_or(dash_mpc::MpcError::NoSuchParty {
-                id: ctx.id(),
-                n_parties: p,
-            })?;
-        let mut triples = triple_slots
-            .get(ctx.id())
-            .and_then(|slot| slot.lock().take());
-        protocol::party_protocol_with(ctx, data, cfg, triples.as_mut())
+    let mut listeners = Vec::with_capacity(parties.len());
+    let mut addrs = Vec::with_capacity(parties.len());
+    for i in 0..parties.len() {
+        let l = TcpListener::bind("127.0.0.1:0").map_err(|e| bind_err(i, e))?;
+        addrs.push(l.local_addr().map_err(|e| bind_err(i, e))?);
+        listeners.push(l);
+    }
+    let tcp_cfg = TcpConfig {
+        run_id: cfg.seed,
+        ..TcpConfig::default()
+    };
+    let stats = Arc::new(NetworkStats::with_trace(
+        parties.len(),
+        TraceHandle::disabled(),
+    ));
+    run_local(parties, cfg, triples, &stats, listeners, |i, listener| {
+        TcpTransport::connect(i, listener, &addrs, tcp_cfg, Arc::clone(&stats))
     })
-    .map_err(CoreError::from)?;
+}
 
-    // Flatten each party's slot: the outer Result carries panics/crash
-    // faults (PartyFailed), the inner one protocol errors. Either way the
-    // run fails with a structured error, never a hang or a process panic.
-    let mut iter = results.into_iter();
-    let first = iter
-        .next()
-        .ok_or(CoreError::NoParties)?
-        .map_err(CoreError::from)??;
-    for r in iter {
-        let r = r.map_err(CoreError::from)??;
-        debug_assert_eq!(
-            r, first,
+/// Validates a whole in-process run and deals its Beaver material — the
+/// part of a run that must succeed before any party thread spawns.
+fn prepare_run<S: SummandSource>(
+    parties: &[S],
+    cfg: &SecureScanConfig,
+) -> Result<Vec<Option<PartyTriples>>, CoreError> {
+    let (_n, m, k) = validate_sources(parties)?;
+    validate_config(cfg, m)?;
+    deal_triples(cfg, parties.len(), m, k)
+}
+
+/// The whole-run launcher: party `i` runs on its own thread over the
+/// transport `connect(i, seeds[i])` builds, all parties recording into
+/// the one `stats` their transports share and into one disclosure log.
+fn run_local<S, X, T, C>(
+    parties: &[S],
+    cfg: &SecureScanConfig,
+    triples: Vec<Option<PartyTriples>>,
+    stats: &NetworkStats,
+    seeds: Vec<X>,
+    connect: C,
+) -> Result<SecureScanOutput, CoreError>
+where
+    S: SummandSource,
+    X: Send,
+    T: FrameTransport + 'static,
+    C: Fn(usize, X) -> Result<T, dash_mpc::MpcError> + Sync,
+{
+    let audit = DisclosureLog::new();
+    let seeds: Vec<_> = seeds.into_iter().zip(parties).zip(triples).collect();
+    let results = Network::run_parties_over(seeds, |i, ((seed, data), triples)| {
+        let transport = connect(i, seed)?;
+        run_party(data, cfg, transport, audit.clone(), triples, None)
+    });
+
+    // Flatten each party's slot: the outer Result carries panics
+    // (PartyFailed), the inner one connect and protocol errors. Either
+    // way the run fails with a structured error, never a hang or a
+    // process panic.
+    let mut results = results
+        .into_iter()
+        .map(|slot| slot.map_err(CoreError::from).and_then(|r| r));
+    let first = results.next().ok_or(CoreError::NoParties)??;
+    for r in results {
+        let r = r?;
+        debug_assert!(
+            same_bits(&r, &first),
             "parties derived different results from identical opened values"
         );
     }
+    Ok(assemble_output(first, stats, &audit, parties.len()))
+}
 
-    // The tag-keyed per-block counters must partition the run's total
-    // traffic exactly: every frame is attributed to exactly one block or
-    // to the unscoped protocol phases.
-    debug_assert_eq!(
-        stats.block_bytes_total() + stats.unscoped_bytes(),
-        stats.total_bytes(),
-        "per-block traffic counters must partition the run total"
-    );
-    let per_block_bytes = stats
-        .per_block_traffic()
-        .into_iter()
-        .map(|(_, bytes, _)| bytes)
-        .collect();
-    let network = NetworkReport::from_stats(&stats);
-    Ok(SecureScanOutput {
-        result: first,
-        network,
-        disclosures: audit.entries(),
-        n_parties: p,
-        per_block_bytes,
-    })
+/// Bit-for-bit equality of two results: unlike `==` on the `f64`
+/// fields, a degenerate variant's NaN statistics compare equal to
+/// themselves.
+fn same_bits(a: &ScanResult, b: &ScanResult) -> bool {
+    fn bits(r: &ScanResult) -> impl Iterator<Item = u64> + '_ {
+        [&r.beta, &r.se, &r.t, &r.p]
+            .into_iter()
+            .flatten()
+            .map(|v| v.to_bits())
+    }
+    (a.df, a.n_degenerate) == (b.df, b.n_degenerate) && bits(a).eq(bits(b))
 }
 
 /// Runs **one party's** side of the secure scan over an externally
 /// established transport — a [`TcpTransport`] in a real multi-process
 /// deployment, or any [`FrameTransport`] in tests. This is the
-/// per-process counterpart of [`secure_scan_with`], which runs every
-/// party on threads of one process.
+/// per-process counterpart of [`secure_scan`], which runs every party on
+/// threads of one process.
 ///
 /// The Beaver offline phase is reproduced locally: the trusted dealer is
 /// a deterministic function of `(party count, seed)`, so every process
@@ -523,57 +562,7 @@ where
     S: SummandSource,
     T: FrameTransport + 'static,
 {
-    let id = transport.id();
-    let p = transport.n_parties();
-    let m = data.n_variants();
-    let k = data.covariates().cols();
-    if data.covariates().rows() != data.n_samples() {
-        return Err(CoreError::ShapeMismatch {
-            what: "covariate rows vs samples",
-            expected: data.n_samples(),
-            got: data.covariates().rows(),
-        });
-    }
-    validate_config(cfg, m)?;
-
-    let mut triples = if cfg.aggregation == AggregationMode::BeaverDots && k > 0 {
-        let mut dealer = TrustedDealer::new(p, cfg.seed)?;
-        dealer.deal_inners(k, 2 * m + 1).into_iter().nth(id)
-    } else {
-        None
-    };
-
-    let stats = Arc::clone(transport.stats());
-    let audit = DisclosureLog::new();
-    let boxed: Box<dyn Transport> = match cfg.faults {
-        Some(plan) => Box::new(FaultyTransport::new(transport, plan)),
-        None => Box::new(transport),
-    };
-    let mut ctx =
-        PartyCtx::with_transport(boxed, cfg.net_options().transport, cfg.seed, audit.clone());
-    let result = protocol::party_protocol_with(&mut ctx, data, cfg, triples.as_mut())?;
-    // Tear the socket mesh down before reporting so every reader thread
-    // has exited and the counters are final.
-    drop(ctx);
-
-    debug_assert_eq!(
-        stats.block_bytes_total() + stats.unscoped_bytes(),
-        stats.total_bytes(),
-        "per-block traffic counters must partition the process total"
-    );
-    let per_block_bytes = stats
-        .per_block_traffic()
-        .into_iter()
-        .map(|(_, bytes, _)| bytes)
-        .collect();
-    let network = NetworkReport::from_stats(&stats);
-    Ok(SecureScanOutput {
-        result,
-        network,
-        disclosures: audit.entries(),
-        n_parties: p,
-        per_block_bytes,
-    })
+    secure_scan_party(data, cfg, transport, None)
 }
 
 /// [`secure_scan_party_with`] with crash-recovery checkpoints: the run
@@ -602,192 +591,109 @@ where
     S: SummandSource,
     T: FrameTransport + 'static,
 {
-    let p = transport.n_parties();
+    secure_scan_party(data, cfg, transport, Some(policy))
+}
+
+/// The per-process run body behind [`secure_scan_party_with`] and
+/// [`secure_scan_party_checkpointed`].
+fn secure_scan_party<S, T>(
+    data: &S,
+    cfg: &SecureScanConfig,
+    transport: T,
+    policy: Option<&checkpoint::CheckpointPolicy>,
+) -> Result<SecureScanOutput, CoreError>
+where
+    S: SummandSource,
+    T: FrameTransport + 'static,
+{
+    let (id, p) = (transport.id(), transport.n_parties());
     let m = data.n_variants();
-    if data.covariates().rows() != data.n_samples() {
-        return Err(CoreError::ShapeMismatch {
-            what: "covariate rows vs samples",
-            expected: data.n_samples(),
-            got: data.covariates().rows(),
-        });
-    }
+    check_covariate_rows(data)?;
     validate_config(cfg, m)?;
-    if cfg.faults.is_some() {
+    if policy.is_some() && cfg.faults.is_some() {
         return Err(CoreError::Checkpoint {
             what: "checkpointing cannot be combined with the deterministic fault \
                    injector; use the socket-level chaos proxy instead"
                 .to_string(),
         });
     }
+    let k = data.covariates().cols();
+    let triples = deal_triples(cfg, p, m, k)?.into_iter().nth(id).flatten();
 
     let stats = Arc::clone(transport.stats());
     let audit = DisclosureLog::new();
-    let boxed: Box<dyn Transport> = Box::new(transport);
-    let mut ctx =
-        PartyCtx::with_transport(boxed, cfg.net_options().transport, cfg.seed, audit.clone());
-    let result = protocol::party_protocol_checkpointed(&mut ctx, data, cfg, policy)?;
-    // Tear the socket mesh down before reporting so every reader thread
-    // has exited and the counters are final.
-    drop(ctx);
-
-    debug_assert_eq!(
-        stats.block_bytes_total() + stats.unscoped_bytes(),
-        stats.total_bytes(),
-        "per-block traffic counters must partition the process total"
-    );
-    let per_block_bytes = stats
-        .per_block_traffic()
-        .into_iter()
-        .map(|(_, bytes, _)| bytes)
-        .collect();
-    let network = NetworkReport::from_stats(&stats);
-    Ok(SecureScanOutput {
-        result,
-        network,
-        disclosures: audit.entries(),
-        n_parties: p,
-        per_block_bytes,
-    })
+    let result = run_party(data, cfg, transport, audit.clone(), triples, policy)?;
+    Ok(assemble_output(result, &stats, &audit, p))
 }
 
-/// Runs the secure scan over **real loopback TCP sockets**, one
-/// [`TcpTransport`] per party thread — the full socket path (framing,
-/// handshake, reader threads) under one roof so tests and the check.sh
-/// smoke can assert bit-identical results and accounting against
-/// [`secure_scan_with`].
-///
-/// Unlike separate `dash party` processes, all parties share one
-/// [`NetworkStats`] and one [`DisclosureLog`] here, exactly like the
-/// in-process runner — so `network` and `disclosures` of the output are
-/// directly comparable (equal, for a deterministic protocol) to the
-/// mpsc run's.
-pub fn secure_scan_tcp_local<S: SummandSource>(
-    parties: &[S],
+/// One party's protocol run over `transport`, wrapped in the
+/// deterministic fault injector when the configuration asks for one.
+/// The transport is torn down before this returns, so every reader
+/// thread has exited and the traffic counters are final.
+fn run_party<S, T>(
+    data: &S,
     cfg: &SecureScanConfig,
-) -> Result<SecureScanOutput, CoreError> {
-    secure_scan_tcp_local_traced(parties, cfg, TraceHandle::disabled())
-}
-
-/// [`secure_scan_tcp_local`] with the shared counters mirroring into
-/// `trace`.
-pub fn secure_scan_tcp_local_traced<S: SummandSource>(
-    parties: &[S],
-    cfg: &SecureScanConfig,
-    trace: TraceHandle,
-) -> Result<SecureScanOutput, CoreError> {
-    let (_n, m, k) = validate_sources(parties)?;
-    let p = parties.len();
-    validate_config(cfg, m)?;
-
-    let triple_slots: Vec<Mutex<Option<PartyTriples>>> =
-        if cfg.aggregation == AggregationMode::BeaverDots && k > 0 {
-            let mut dealer = TrustedDealer::new(p, cfg.seed)?;
-            dealer
-                .deal_inners(k, 2 * m + 1)
-                .into_iter()
-                .map(|b| Mutex::new(Some(b)))
-                .collect()
-        } else {
-            (0..p).map(|_| Mutex::new(None)).collect()
-        };
-
-    // Rendezvous: bind every party's listener up front (port 0 → the OS
-    // assigns), so each thread knows the full address list.
-    let mut listeners = Vec::with_capacity(p);
-    let mut addrs = Vec::with_capacity(p);
-    for i in 0..p {
-        let l = TcpListener::bind("127.0.0.1:0").map_err(|e| {
-            CoreError::Mpc(dash_mpc::MpcError::Handshake {
-                peer: i,
-                reason: format!("bind loopback listener: {e}"),
-            })
-        })?;
-        let addr = l.local_addr().map_err(|e| {
-            CoreError::Mpc(dash_mpc::MpcError::Handshake {
-                peer: i,
-                reason: format!("read listener address: {e}"),
-            })
-        })?;
-        listeners.push(l);
-        addrs.push(addr);
-    }
-    let tcp_cfg = TcpConfig {
-        run_id: cfg.seed,
-        ..TcpConfig::default()
+    transport: T,
+    audit: DisclosureLog,
+    mut triples: Option<PartyTriples>,
+    policy: Option<&checkpoint::CheckpointPolicy>,
+) -> Result<ScanResult, CoreError>
+where
+    S: SummandSource,
+    T: FrameTransport + 'static,
+{
+    let transport: Box<dyn Transport> = match cfg.faults {
+        Some(plan) => Box::new(FaultyTransport::new(transport, plan)),
+        None => Box::new(transport),
     };
+    let mut ctx = PartyCtx::with_transport(transport, cfg.transport_config(), cfg.seed, audit);
+    protocol::party_protocol(&mut ctx, data, cfg, triples.as_mut(), policy)
+}
 
-    let stats = Arc::new(NetworkStats::with_trace(p, trace));
-    let audit = DisclosureLog::new();
-    let results: Vec<Result<ScanResult, CoreError>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = listeners
-            .into_iter()
-            .enumerate()
-            .map(|(i, listener)| {
-                let addrs = &addrs;
-                let stats = Arc::clone(&stats);
-                let audit = audit.clone();
-                let triple_slots = &triple_slots;
-                let handle = scope.spawn(move || -> Result<ScanResult, CoreError> {
-                    let data = parties.get(i).ok_or(CoreError::NoParties)?;
-                    let tcp = TcpTransport::connect(i, listener, addrs, tcp_cfg, stats)?;
-                    let transport: Box<dyn Transport> = match cfg.faults {
-                        Some(plan) => Box::new(FaultyTransport::new(tcp, plan)),
-                        None => Box::new(tcp),
-                    };
-                    let mut ctx = PartyCtx::with_transport(
-                        transport,
-                        cfg.net_options().transport,
-                        cfg.seed,
-                        audit,
-                    );
-                    let mut triples = triple_slots.get(i).and_then(|slot| slot.lock().take());
-                    protocol::party_protocol_with(&mut ctx, data, cfg, triples.as_mut())
-                });
-                (i, handle)
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|(i, h)| {
-                h.join().unwrap_or_else(|payload| {
-                    Err(CoreError::Mpc(dash_mpc::MpcError::PartyFailed {
-                        party: i,
-                        reason: match CoreError::worker_panicked(payload.as_ref()) {
-                            CoreError::WorkerPanicked { reason } => reason,
-                            _ => "party thread panicked".to_string(),
-                        },
-                    }))
-                })
-            })
-            .collect()
-    });
-
-    let mut iter = results.into_iter();
-    let first = iter.next().ok_or(CoreError::NoParties)??;
-    for r in iter {
-        let r = r?;
-        debug_assert_eq!(
-            r, first,
-            "parties derived different results from identical opened values"
-        );
+/// Deals the Beaver material of a run — one slot per party, `None`
+/// everywhere unless the strict aggregation mode needs triples.
+fn deal_triples(
+    cfg: &SecureScanConfig,
+    p: usize,
+    m: usize,
+    k: usize,
+) -> Result<Vec<Option<PartyTriples>>, CoreError> {
+    if cfg.aggregation != AggregationMode::BeaverDots || k == 0 {
+        return Ok((0..p).map(|_| None).collect());
     }
+    let mut dealer = TrustedDealer::new(p, cfg.seed)?;
+    Ok(dealer
+        .deal_inners(k, 2 * m + 1)
+        .into_iter()
+        .map(Some)
+        .collect())
+}
 
+/// Builds a run's output from its result and the traffic and openings
+/// recorded in `stats` and `audit`.
+fn assemble_output(
+    result: ScanResult,
+    stats: &NetworkStats,
+    audit: &DisclosureLog,
+    n_parties: usize,
+) -> SecureScanOutput {
+    // The tag-keyed per-block counters must partition the recorded
+    // traffic exactly: every frame is attributed to exactly one block or
+    // to the unscoped protocol phases.
     debug_assert_eq!(
         stats.block_bytes_total() + stats.unscoped_bytes(),
         stats.total_bytes(),
         "per-block traffic counters must partition the run total"
     );
-    let per_block_bytes = stats
-        .per_block_traffic()
-        .into_iter()
-        .map(|(_, bytes, _)| bytes)
-        .collect();
-    let network = NetworkReport::from_stats(&stats);
-    Ok(SecureScanOutput {
-        result: first,
-        network,
+    SecureScanOutput {
+        result,
+        network: NetworkReport::from_stats(stats),
         disclosures: audit.entries(),
-        n_parties: p,
-        per_block_bytes,
-    })
+        n_parties,
+        per_block_bytes: stats
+            .per_block_traffic()
+            .into_iter()
+            .map(|(_, bytes, _)| bytes)
+            .collect(),
+    }
 }

@@ -33,27 +33,55 @@ use std::sync::mpsc;
 /// Executes the secure scan from one party's perspective (SPMD — every
 /// party runs this same function over the shared network). Generic over
 /// the party's storage via [`SummandSource`].
-pub(crate) fn party_protocol_with<S: SummandSource>(
+///
+/// With a checkpoint `policy` the run persists its protocol state after
+/// the y round and after every block, and — when `policy.resume_from` is
+/// set — rejoins an interrupted run at its last durable block boundary
+/// instead of starting over. Checkpointing is restricted to the blocked
+/// pipeline in a non-Beaver aggregation mode over a transport with
+/// durable link identity (TCP); anything else is a structured
+/// [`CoreError::Checkpoint`], never a silently unusable checkpoint.
+pub(crate) fn party_protocol<S: SummandSource>(
     ctx: &mut PartyCtx,
     data: &S,
     cfg: &SecureScanConfig,
     triples: Option<&mut PartyTriples>,
+    policy: Option<&CheckpointPolicy>,
 ) -> Result<ScanResult, CoreError> {
+    let target = policy
+        .map(|policy| checkpoint_target(ctx, data, cfg, policy))
+        .transpose()?;
     let _scan_span = ctx.trace_span("scan");
     let c = data.covariates();
     let k = c.cols();
-    let n_total = count_round(ctx, data, k)?;
 
-    // Phase 1: combined R factor, then private Q rows.
-    let rfactor_span = ctx.trace_span("phase:rfactor");
-    let r = rfactor::combine_r(ctx, c, cfg)?;
-    let q_k = if k == 0 {
-        Matrix::zeros(data.n_samples(), 0)
-    } else {
-        let rinv = invert_upper(&r)?;
-        gemm(c, &rinv)?
+    // Phase 1 — the pooled sample count, the combined R factor and the
+    // private Q rows — or, on resume, the same state from the checkpoint.
+    let resume_from = policy.and_then(|p| p.resume_from.as_deref());
+    let (n_total, r, q_k, resume) = match resume_from.zip(target.as_ref()) {
+        Some((cp, (_, fingerprint))) => {
+            let (n_total, seed) = restore(ctx, cp, fingerprint, k, data.n_variants())?;
+            // Private Q rows are recomputed locally from the persisted
+            // combined R — phase 1 never re-runs, so nothing re-opens.
+            let r = Matrix::from_column_major(k, k, cp.r.clone())?;
+            let q_k = private_q(c, &r)?;
+            (n_total, r, q_k, Some(seed))
+        }
+        None => {
+            let n_total = count_round(ctx, data, k)?;
+            let _rfactor_span = ctx.trace_span("phase:rfactor");
+            let r = rfactor::combine_r(ctx, c, cfg)?;
+            let q_k = private_q(c, &r)?;
+            (n_total, r, q_k, None)
+        }
     };
-    drop(rfactor_span);
+    let saver = target.map(|(path, fingerprint)| Saver {
+        path,
+        fingerprint,
+        n_total: n_total as u64,
+        r: r.as_slice().to_vec(),
+        crash_after_block: policy.and_then(|p| p.crash_after_block),
+    });
 
     // Phase 2: local summands (storage-specific), secure aggregation,
     // finalization.
@@ -64,8 +92,26 @@ pub(crate) fn party_protocol_with<S: SummandSource>(
             let stats = aggregate::aggregate(ctx, &summands, cfg, triples)?;
             stats.finalize(n_total, k)
         }
-        Some(b) => blocked_core(ctx, data, &q_k, n_total, b, cfg, triples, None, None),
+        Some(b) => blocked_core(
+            ctx,
+            data,
+            &q_k,
+            n_total,
+            b,
+            cfg,
+            triples,
+            saver.as_ref(),
+            resume,
+        ),
     }
+}
+
+/// This party's rows of the shared orthonormal basis, `Q_k = C_k R⁻¹`.
+fn private_q(c: &Matrix, r: &Matrix) -> Result<Matrix, CoreError> {
+    if c.cols() == 0 {
+        return Ok(Matrix::zeros(c.rows(), 0));
+    }
+    Ok(gemm(c, &invert_upper(r)?)?)
 }
 
 /// Step 0 of the protocol: the pooled sample count (needed by everyone
@@ -187,19 +233,14 @@ struct ResumeSeed {
     start_block: u32,
 }
 
-/// [`party_protocol_with`] with crash-recovery checkpoints: persists the
-/// protocol state after the y round and after every block, and — when
-/// `policy.resume_from` is set — rejoins an interrupted run at its last
-/// durable block boundary instead of starting over. Restricted to the
-/// blocked pipeline in a non-Beaver aggregation mode over a transport
-/// with durable link identity (TCP); anything else is a structured
-/// [`CoreError::Checkpoint`], never a silently unusable checkpoint.
-pub(crate) fn party_protocol_checkpointed<S: SummandSource>(
-    ctx: &mut PartyCtx,
+/// Checks that `policy` can checkpoint this run and returns where the
+/// checkpoints go and the fingerprint that ties them to the run.
+fn checkpoint_target<S: SummandSource>(
+    ctx: &PartyCtx,
     data: &S,
     cfg: &SecureScanConfig,
     policy: &CheckpointPolicy,
-) -> Result<ScanResult, CoreError> {
+) -> Result<(PathBuf, Fingerprint), CoreError> {
     let Some(block_size) = cfg.block_size else {
         return Err(ckpt_err(
             "checkpointing requires the blocked pipeline; set block_size",
@@ -218,138 +259,86 @@ pub(crate) fn party_protocol_checkpointed<S: SummandSource>(
     }
     std::fs::create_dir_all(&policy.dir)
         .map_err(|e| ckpt_err(format!("create {}: {e}", policy.dir.display())))?;
-    let path = checkpoint::checkpoint_path(&policy.dir, ctx.id());
-
-    let _scan_span = ctx.trace_span("scan");
-    let c = data.covariates();
-    let k = c.cols();
-    let m = data.n_variants();
     let (rf, agg) = mode_codes(cfg);
     let fingerprint = Fingerprint {
         seed: cfg.seed,
         party: ctx.id() as u64,
         n_parties: ctx.n_parties() as u64,
-        m: m as u64,
-        k: k as u64,
+        m: data.n_variants() as u64,
+        k: data.covariates().cols() as u64,
         rfactor: rf,
         aggregation: agg,
         ring_frac_bits: cfg.ring_frac_bits,
         field_frac_bits: cfg.field_frac_bits,
         block_size: block_size as u64,
     };
+    Ok((
+        checkpoint::checkpoint_path(&policy.dir, ctx.id()),
+        fingerprint,
+    ))
+}
 
-    match policy.resume_from.as_deref() {
-        None => {
-            let n_total = count_round(ctx, data, k)?;
-            let rfactor_span = ctx.trace_span("phase:rfactor");
-            let r = rfactor::combine_r(ctx, c, cfg)?;
-            let q_k = if k == 0 {
-                Matrix::zeros(data.n_samples(), 0)
-            } else {
-                let rinv = invert_upper(&r)?;
-                gemm(c, &rinv)?
-            };
-            drop(rfactor_span);
-            let saver = Saver {
-                path,
-                fingerprint,
-                n_total: n_total as u64,
-                r: r.as_slice().to_vec(),
-                crash_after_block: policy.crash_after_block,
-            };
-            let _agg_span = ctx.trace_span("phase:aggregate");
-            blocked_core(
-                ctx,
-                data,
-                &q_k,
-                n_total,
-                block_size,
-                cfg,
-                None,
-                Some(&saver),
-                None,
-            )
-        }
-        Some(cp) => {
-            if cp.fingerprint != fingerprint {
-                return Err(ckpt_err(format!(
-                    "checkpoint belongs to a different run: saved {:?}, this run is {:?}",
-                    cp.fingerprint, fingerprint
-                )));
-            }
-            let n_total = usize::try_from(cp.n_total)
-                .map_err(|_| ckpt_err("checkpointed sample count overflows usize"))?;
-            if n_total <= k + 1 {
-                return Err(CoreError::NotEnoughSamples { n: n_total, k });
-            }
-            if cp.r.len() != k * k {
-                return Err(ckpt_err("checkpointed R factor has the wrong shape"));
-            }
-            for (name, v) in [
-                ("qty", &cp.qty),
-                ("xy", &cp.xy),
-                ("xx", &cp.xx),
-                ("qtxqty", &cp.qtxqty),
-                ("qtxqtx", &cp.qtxqtx),
-            ] {
-                let want = if name == "qty" { k } else { m };
-                if v.len() != want {
-                    return Err(ckpt_err(format!(
-                        "checkpointed {name} has length {}, expected {want}",
-                        v.len()
-                    )));
-                }
-            }
-            // Deterministic state back first: randomness, tags, the audit
-            // log, and the traffic counters — so everything recorded from
-            // here on continues the interrupted run exactly.
-            ctx.restore_protocol_state(&CtxState {
-                rng: cp.rng,
-                pair_prgs: cp.pair_prgs.clone(),
-                tag_counter: cp.tag_counter,
-            })?;
-            ctx.audit().restore(cp.disclosures.clone());
-            ctx.endpoint().stats().restore_snapshot(&cp.stats)?;
-            // Private Q rows are recomputed locally from the persisted
-            // combined R — phase 1 never re-runs, so nothing re-opens.
-            let q_k = if k == 0 {
-                Matrix::zeros(data.n_samples(), 0)
-            } else {
-                let r = Matrix::from_column_major(k, k, cp.r.clone())?;
-                gemm(c, &invert_upper(&r)?)?
-            };
-            let seed = ResumeSeed {
-                head: YAggregate::Opened {
-                    yy: cp.yy,
-                    qty: cp.qty.clone(),
-                },
-                xy: cp.xy.clone(),
-                xx: cp.xx.clone(),
-                qtxqty: cp.qtxqty.clone(),
-                qtxqtx: cp.qtxqtx.clone(),
-                start_block: cp.next_block,
-            };
-            let saver = Saver {
-                path,
-                fingerprint,
-                n_total: cp.n_total,
-                r: cp.r.clone(),
-                crash_after_block: policy.crash_after_block,
-            };
-            let _agg_span = ctx.trace_span("phase:aggregate");
-            blocked_core(
-                ctx,
-                data,
-                &q_k,
-                n_total,
-                block_size,
-                cfg,
-                None,
-                Some(&saver),
-                Some(seed),
-            )
+/// Validates checkpoint `cp` against this run and restores the
+/// deterministic protocol state it saved. Returns the pooled sample
+/// count and the accumulators the blocked pipeline resumes from.
+fn restore(
+    ctx: &mut PartyCtx,
+    cp: &Checkpoint,
+    fingerprint: &Fingerprint,
+    k: usize,
+    m: usize,
+) -> Result<(usize, ResumeSeed), CoreError> {
+    if cp.fingerprint != *fingerprint {
+        return Err(ckpt_err(format!(
+            "checkpoint belongs to a different run: saved {:?}, this run is {:?}",
+            cp.fingerprint, fingerprint
+        )));
+    }
+    let n_total = usize::try_from(cp.n_total)
+        .map_err(|_| ckpt_err("checkpointed sample count overflows usize"))?;
+    if n_total <= k + 1 {
+        return Err(CoreError::NotEnoughSamples { n: n_total, k });
+    }
+    if cp.r.len() != k * k {
+        return Err(ckpt_err("checkpointed R factor has the wrong shape"));
+    }
+    for (name, v) in [
+        ("qty", &cp.qty),
+        ("xy", &cp.xy),
+        ("xx", &cp.xx),
+        ("qtxqty", &cp.qtxqty),
+        ("qtxqtx", &cp.qtxqtx),
+    ] {
+        let want = if name == "qty" { k } else { m };
+        if v.len() != want {
+            return Err(ckpt_err(format!(
+                "checkpointed {name} has length {}, expected {want}",
+                v.len()
+            )));
         }
     }
+    // Deterministic state back first: randomness, tags, the audit log,
+    // and the traffic counters — so everything recorded from here on
+    // continues the interrupted run exactly.
+    ctx.restore_protocol_state(&CtxState {
+        rng: cp.rng,
+        pair_prgs: cp.pair_prgs.clone(),
+        tag_counter: cp.tag_counter,
+    })?;
+    ctx.audit().restore(cp.disclosures.clone());
+    ctx.endpoint().stats().restore_snapshot(&cp.stats)?;
+    let seed = ResumeSeed {
+        head: YAggregate::Opened {
+            yy: cp.yy,
+            qty: cp.qty.clone(),
+        },
+        xy: cp.xy.clone(),
+        xx: cp.xx.clone(),
+        qtxqty: cp.qtxqty.clone(),
+        qtxqtx: cp.qtxqtx.clone(),
+        start_block: cp.next_block,
+    };
+    Ok((n_total, seed))
 }
 
 /// Computes one block's local summands, splitting its columns over up to

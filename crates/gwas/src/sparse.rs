@@ -217,7 +217,7 @@ pub fn sparse_suffstats(
 }
 
 /// A party whose genotype matrix lives in sparse storage — plugs straight
-/// into [`dash_core::secure::secure_scan_with`], so rare-variant cohorts
+/// into [`dash_core::secure::secure_scan`], so rare-variant cohorts
 /// pay O(nnz) local compute inside the secure protocol (§2's sparse
 /// packing combined with §3's security).
 #[derive(Debug, Clone, PartialEq)]
@@ -402,7 +402,7 @@ mod tests {
     #[test]
     fn sparse_party_secure_scan_matches_dense_secure_scan() {
         use dash_core::model::PartyData;
-        use dash_core::secure::{secure_scan, secure_scan_with, SecureScanConfig};
+        use dash_core::secure::{secure_scan, SecureScanConfig};
         let mut s = 21u64;
         let mut next = move || {
             s = s.wrapping_mul(6364136223846793005).wrapping_add(1);
@@ -426,7 +426,7 @@ mod tests {
         }
         let cfg = SecureScanConfig::paper_default(3);
         let dense_out = secure_scan(&dense_parties, &cfg).unwrap();
-        let sparse_out = secure_scan_with(&sparse_parties, &cfg).unwrap();
+        let sparse_out = secure_scan(&sparse_parties, &cfg).unwrap();
         let d = sparse_out.result.max_rel_diff(&dense_out.result).unwrap();
         assert!(d < 1e-9, "sparse vs dense secure scan: {d}");
     }

@@ -942,45 +942,52 @@ impl Network {
     {
         let (endpoints, stats) = Self::endpoints_traced(n, opts.trace.clone())?;
         let audit = DisclosureLog::new();
-        let results: Vec<Result<T, MpcError>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = endpoints
+        let results = Self::run_parties_over(endpoints, |_, ep| {
+            let transport: Box<dyn Transport> = match opts.faults {
+                Some(plan) => Box::new(FaultyTransport::new(ep, plan)),
+                None => Box::new(ep),
+            };
+            let mut ctx = PartyCtx::with_transport(transport, opts.transport, seed, audit.clone());
+            f(&mut ctx)
+        });
+        Ok((results, stats, audit))
+    }
+
+    /// The runner under every whole-run launcher: one party thread per
+    /// element of `seeds`, thread `i` running `f(i, seed)`. The seed is
+    /// whatever the party builds its transport from — a prebuilt mesh
+    /// [`Endpoint`], or a bound listener to dial a
+    /// [`crate::tcp::TcpTransport`] from. Results come back in party
+    /// order.
+    ///
+    /// A party that panics yields [`MpcError::PartyFailed`] in its own
+    /// slot; the other parties keep running and fail within their own
+    /// deadlines, so the process never panics and never hangs.
+    pub fn run_parties_over<X, T, F>(seeds: Vec<X>, f: F) -> Vec<Result<T, MpcError>>
+    where
+        X: Send,
+        T: Send,
+        F: Fn(usize, X) -> T + Sync,
+    {
+        std::thread::scope(|scope| {
+            let f = &f;
+            let handles: Vec<_> = seeds
                 .into_iter()
-                .map(|ep| {
-                    let audit = audit.clone();
-                    let f = &f;
-                    let id = ep.id();
-                    let handle = scope.spawn(move || {
-                        let transport: Box<dyn Transport> = match opts.faults {
-                            Some(plan) => Box::new(FaultyTransport::new(ep, plan)),
-                            None => Box::new(ep),
-                        };
-                        let mut ctx =
-                            PartyCtx::with_transport(transport, opts.transport, seed, audit);
-                        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&mut ctx)))
-                            .map_err(|payload| MpcError::PartyFailed {
-                                party: id,
-                                reason: panic_reason(payload.as_ref()),
-                            })
-                    });
-                    (id, handle)
-                })
+                .enumerate()
+                .map(|(id, seed)| (id, scope.spawn(move || f(id, seed))))
                 .collect();
+            // Every handle is joined here, so a party's panic surfaces as
+            // its own `Err` slot and never propagates out of the scope.
             handles
                 .into_iter()
                 .map(|(id, h)| {
-                    // The closure runs under catch_unwind, so join only
-                    // fails if the panic machinery itself aborted; report
-                    // that as a party failure instead of propagating.
-                    h.join().unwrap_or_else(|payload| {
-                        Err(MpcError::PartyFailed {
-                            party: id,
-                            reason: panic_reason(payload.as_ref()),
-                        })
+                    h.join().map_err(|payload| MpcError::PartyFailed {
+                        party: id,
+                        reason: panic_reason(payload.as_ref()),
                     })
                 })
                 .collect()
-        });
-        Ok((results, stats, audit))
+        })
     }
 }
 

@@ -48,12 +48,16 @@ cargo fmt --all --check
 echo "== tests"
 cargo test --workspace --release
 
-echo "== blocked-vs-monolithic bit-identity property (bounded case count)"
+echo "== debug-build secure-scan suites (bit identity, debug assertions)"
 # The blocked secure pipeline must be bit-identical to the monolithic
 # path; DASH_BLOCKED_CASES bounds the randomized sweep so CI stays fast
-# (raise it locally for a deeper search). The run also exercises the
-# debug assertion that per-block traffic counters partition the total.
-DASH_BLOCKED_CASES=16 cargo test -p dash-core --test blocked_secure
+# (raise it locally for a deeper search). The run is a debug build, so
+# it also exercises the debug assertions that per-block traffic counters
+# partition the total and that every party derived a bit-identical
+# result — over the in-process mesh, over loopback TCP and on the
+# checkpointed path; every other test stage runs --release.
+DASH_BLOCKED_CASES=16 cargo test -p dash-core --test blocked_secure \
+    --test tcp_secure --test checkpoint_resume
 
 echo "== trace smoke (scan --trace-out, then schema/invariant validation)"
 # A tiny end-to-end observability round trip: simulate a 2-party study,
